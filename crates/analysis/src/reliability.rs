@@ -24,8 +24,10 @@
 //! the output is byte-identical for any thread count. The fault coins for
 //! a trial are shared across the whole `p` grid (one coin per element,
 //! compared against each `p`), so a trial's fault sets are *nested* as `p`
-//! grows and the curves are monotone draw-by-draw, not just in
-//! expectation.
+//! grows (common random numbers). Nesting does not make delivery monotone
+//! draw by draw: a larger set fired mid-run under adaptive re-routing can
+//! change which routes packets take and deliver one more of them. The
+//! curves are monotone only in expectation.
 
 use crate::report::TextTable;
 use ftdb_core::LinkFaultSet;
@@ -184,7 +186,20 @@ fn wilson_ci(k: u64, n: u64) -> (f64, f64) {
     let denom = 1.0 + z2 / nf;
     let center = (phat + z2 / (2.0 * nf)) / denom;
     let half = z * (phat * (1.0 - phat) / nf + z2 / (4.0 * nf * nf)).sqrt() / denom;
-    ((center - half).max(0.0), (center + half).min(1.0))
+    // At `k = 0` (`k = n`) the score interval touches 0 (1) exactly; the
+    // float formula can miss it by an ulp, which would exclude the point
+    // estimate itself.
+    let lo = if k == 0 {
+        0.0
+    } else {
+        (center - half).max(0.0)
+    };
+    let hi = if k == n {
+        1.0
+    } else {
+        (center + half).min(1.0)
+    };
+    (lo, hi)
 }
 
 /// What one trial contributes to every grid point.
@@ -258,6 +273,13 @@ fn draw_trial_faults(
     }
 }
 
+/// Trial `trial`'s `(workload, fault)` seeds, from the root seed and the
+/// trial index alone.
+fn trial_seeds(spec: &ReliabilitySpec, trial: usize) -> (u64, u64) {
+    let workload_seed = splitmix64(spec.root_seed ^ (trial as u64).wrapping_mul(0x9E37_79B9));
+    (workload_seed, splitmix64(workload_seed ^ 0x5EED_FA17))
+}
+
 /// Runs one trial's healthy baseline plus its whole `p` row on a reused
 /// single-table engine (or fresh sharded engines when `spec.shards > 1`).
 fn run_trial(
@@ -268,8 +290,7 @@ fn run_trial(
     trial: usize,
 ) -> TrialOutcome {
     let placement = Embedding::identity(db.node_count());
-    let workload_seed = splitmix64(spec.root_seed ^ (trial as u64).wrapping_mul(0x9E37_79B9));
-    let fault_seed = splitmix64(workload_seed ^ 0x5EED_FA17);
+    let (workload_seed, fault_seed) = trial_seeds(spec, trial);
     let mut wl_rng = StdRng::seed_from_u64(workload_seed);
     let pairs = workload::permutation_pairs(db.node_count(), &mut wl_rng);
 
@@ -484,16 +505,48 @@ mod tests {
     }
 
     #[test]
-    fn delivery_curves_are_monotone_in_p() {
+    fn trial_fault_sets_nest_across_the_p_grid() {
+        // What the coupled coins guarantee: each trial's drawn fault set at
+        // p_i is a subset of its set at p_{i+1}. (Pooled delivery is only
+        // monotone in expectation under mid-run adaptive re-routing.)
+        let mut spec = tiny_spec(1, 1);
+        spec.p_grid = vec![0.0, 0.001, 0.02, 0.05, 0.2, 0.5, 1.0];
+        let db = DeBruijn2::new(spec.h);
         for model in FaultModel::ALL {
-            let curve = reliability_sweep(&tiny_spec(1, 1), model);
-            for pair in curve.points.windows(2) {
+            for trial in 0..spec.trials {
+                let (_, fault_seed) = trial_seeds(&spec, trial);
+                let draws: Vec<TrialFaults> = spec
+                    .p_grid
+                    .iter()
+                    .map(|&p| draw_trial_faults(&db, model, &spec, p, fault_seed))
+                    .collect();
+                let size =
+                    |d: &TrialFaults| d.nodes.len() + d.links.as_ref().map_or(0, |l| l.len());
+                assert_eq!(size(&draws[0]), 0, "{model:?}: p=0 drew faults");
                 assert!(
-                    pair[1].delivered <= pair[0].delivered,
-                    "{model:?}: delivered rose from p={} to p={}",
-                    pair[0].p,
-                    pair[1].p
+                    size(&draws[draws.len() - 1]) > 0,
+                    "{model:?}: p=1 drew none"
                 );
+                for (pair, ps) in draws.windows(2).zip(spec.p_grid.windows(2)) {
+                    let (lo, hi) = (&pair[0], &pair[1]);
+                    assert!(
+                        lo.nodes.iter().all(|v| hi.nodes.contains(v)),
+                        "{model:?} trial {trial}: node set at p={} not within p={}",
+                        ps[0],
+                        ps[1]
+                    );
+                    if let Some(lo_links) = &lo.links {
+                        let nested = hi
+                            .links
+                            .as_ref()
+                            .is_some_and(|h| lo_links.as_bitset().is_subset(h.as_bitset()));
+                        assert!(
+                            nested,
+                            "{model:?} trial {trial}: link set at p={} not within p={}",
+                            ps[0], ps[1]
+                        );
+                    }
+                }
             }
         }
     }
@@ -519,6 +572,23 @@ mod tests {
                 "shards={shards} leaked into the curve"
             );
         }
+    }
+
+    #[test]
+    fn wilson_interval_brackets_every_proportion_exactly() {
+        for n in 1..=600u64 {
+            for k in 0..=n {
+                let (lo, hi) = wilson_ci(k, n);
+                let phat = k as f64 / n as f64;
+                assert!(
+                    0.0 <= lo && lo <= phat && phat <= hi && hi <= 1.0,
+                    "wilson_ci({k}, {n}) = ({lo}, {hi}) misses {phat}"
+                );
+            }
+            assert_eq!(wilson_ci(0, n).0, 0.0, "n={n}");
+            assert_eq!(wilson_ci(n, n).1, 1.0, "n={n}");
+        }
+        assert_eq!(wilson_ci(512, 512).1, 1.0);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! Output is plain text on stdout; it is the source of the measured numbers
 //! recorded in `EXPERIMENTS.md`.
 //!
-//! `--threads N` sizes the worker pool of the sweep-style experiments
-//! (default: the machine's available parallelism). `--shards N` sizes the
+//! `--threads N` sizes the worker pool of the exhaustive verifications
+//! (`tolerance`, `ablation`) and the sweep-style experiments (default: the
+//! machine's available parallelism). `--shards N` sizes the
 //! graph partition of the sharded-engine experiments (`sim-sharded`,
 //! `sim-vc`, `sim-million*`, `sim-reliability`; default 4), and `--vcs N`
 //! the virtual-channel count of `sim-vc` (default 2). `sim-reliability`
@@ -157,7 +158,7 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
                 ],
                 200_000,
                 500,
-                std::thread::available_parallelism().map_or(4, |p| p.get()),
+                threads,
             );
             println!("{}", render_tolerance(&rows).render());
         }
@@ -258,7 +259,11 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
         "ablation" => {
             let abl1 = offset_ablation(&[(3, 1), (3, 2), (4, 1), (4, 2)], 50_000_000);
             println!("{}", render_offset_ablation(&abl1).render());
-            let abl2 = reconfig_ablation(&[(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)], 50_000_000);
+            let abl2 = reconfig_ablation(
+                &[(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)],
+                50_000_000,
+                threads,
+            );
             println!("{}", render_reconfig_ablation(&abl2).render());
         }
         "all" => {

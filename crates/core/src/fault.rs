@@ -363,6 +363,35 @@ impl RevolvingDoor {
     pub fn total(&self) -> u128 {
         Combinations::total(self.n, self.k)
     }
+
+    /// Starts the enumeration at 0-based position `rank` of the
+    /// revolving-door order: the first [`RevolvingDoor::next_set`] lends
+    /// the `rank`-th combination, and later calls continue exactly as an
+    /// enumerator advanced `rank` times would. A `rank` at or past
+    /// [`RevolvingDoor::total`] gives an exhausted enumerator.
+    ///
+    /// Algorithm R visits the combinations with top element `c` as one
+    /// contiguous block of ranks `[C(c, k), C(c + 1, k))`, walking the
+    /// `(k−1)`-subsets of `0..c` in *reverse* revolving-door order inside
+    /// it; unranking peels one element per level. `O(n·k²)`.
+    pub fn from_rank(n: usize, k: usize, rank: u128) -> Self {
+        let mut door = RevolvingDoor::new(n, k);
+        if rank >= door.total() {
+            door.done = true;
+            return door;
+        }
+        let mut r = rank;
+        for t in (1..=k).rev() {
+            // The largest `c` with `C(c, t) ≤ r`; `C(t−1, t) = 0`.
+            let mut c = t - 1;
+            while Combinations::total(c + 1, t) <= r {
+                c += 1;
+            }
+            door.c[t] = c;
+            r = Combinations::total(c + 1, t) - 1 - r;
+        }
+        door
+    }
 }
 
 /// Samples `samples` random fault sets of size `k` (with replacement across
@@ -578,6 +607,35 @@ mod tests {
                     count,
                     "duplicate subset for n={n} k={k}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn revolving_door_from_rank_resumes_the_full_enumeration() {
+        for (n, k) in [
+            (1usize, 1usize),
+            (5, 0),
+            (6, 6),
+            (7, 1),
+            (7, 3),
+            (8, 4),
+            (9, 2),
+            (10, 5),
+        ] {
+            let mut full = Vec::new();
+            let mut rd = RevolvingDoor::new(n, k);
+            while let Some(c) = rd.next_set() {
+                full.push(c.to_vec());
+            }
+            for rank in 0..=full.len() + 1 {
+                let mut tail = Vec::new();
+                let mut rd = RevolvingDoor::from_rank(n, k, rank as u128);
+                while let Some(c) = rd.next_set() {
+                    tail.push(c.to_vec());
+                }
+                let expected = full.get(rank..).unwrap_or(&[]);
+                assert_eq!(tail, expected, "n={n} k={k} rank={rank}");
             }
         }
     }

@@ -3,32 +3,46 @@
 //! The paper proves Theorems 1 and 2 analytically; this module verifies them
 //! *mechanically* on concrete instances, in two modes:
 //!
-//! * **Exhaustive** — enumerate every fault set of size `k` (there are
-//!   `C(N+k, k)` of them) and check that the rank-based reconfiguration is a
-//!   valid embedding for each. The enumeration is split across worker
-//!   threads with `crossbeam::scope`, since the checks are embarrassingly
-//!   parallel and the instances used in the experiments run into the
-//!   hundreds of thousands of fault sets.
+//! * **Exhaustive** — enumerate every fault set of size `k` (`C(n, k)` of
+//!   them on an `n`-node host) and check that the rank-based
+//!   reconfiguration is a valid embedding for each. The revolving-door
+//!   enumeration order ([`crate::fault::RevolvingDoor`]) is cut into one
+//!   contiguous range of indices per worker thread (`crossbeam::scope`);
+//!   each worker unranks its first set and walks its own range.
 //! * **Sampled** — draw random fault sets, for instances where exhaustive
 //!   enumeration is intractable.
 //!
-//! The exhaustive sweep is engineered as an allocation-free kernel: fault
-//! sets come from an in-place revolving-door enumerator
-//! ([`crate::fault::RevolvingDoor`]), the rank map `φ` is rebuilt into a
-//! reusable buffer, edge preservation is checked against a dense host
-//! adjacency bit-matrix (O(1) per edge for the instance sizes that are
-//! exhaustively enumerable), and failures are collected per worker and
-//! merged after the join — no `Mutex` in the hot loop.
+//! Both modes run one *displacement kernel*. The rank map is
+//! `φ(x) = x + δ(x)` with `δ(x) = #{j : f_j − j ≤ x}` for the sorted fault
+//! set `f_0 < … < f_{k−1}` (Lemma 1: `δ` is monotone and `0 ≤ δ ≤ k`), so a
+//! fault set touches the target edge `(a, b)` only through `δ(a)` and
+//! `δ(b)`. The kernel keeps `δ`, the offsets `g_j = f_j − j`, and `bad`,
+//! the number of target edges whose image `(φ(a), φ(b))` the host lacks; a
+//! fault set passes iff `bad == 0`. Consecutive revolving-door sets differ
+//! in one element, which moves a few `g_j`. Only target nodes between an
+//! old and a new `g_j` can change `δ`, and for each that does the kernel
+//! re-tests just its incident target edges. On `B^3(2,8)` 98.9% of steps
+//! change `δ` at a single node, so a step costs about 8 adjacency lookups
+//! where a from-scratch check costs about 770. Lookups hit a dense host
+//! adjacency bit-matrix (O(1)) for hosts of up to 4096 nodes, far beyond
+//! what exhaustive enumeration reaches. Scratch is allocated once per
+//! worker, and failures are collected per worker, tagged with their global
+//! enumeration index and merged after the join: the hot loop takes no
+//! lock, and the report is identical for any thread count.
+//!
+//! [`check_fault_set`] — [`reconfigure`] followed by `Embedding::verify` —
+//! is the independent reference the kernel is tested against.
 //!
 //! The same machinery accepts an *arbitrary* candidate host graph, which is
 //! how the experiments show that a plain de Bruijn graph with a spare node
 //! bolted on is **not** `(k, G)`-tolerant — i.e. that the widened edge
 //! blocks of the paper's construction are actually needed.
 
-use crate::fault::{FaultSet, RevolvingDoor};
+use crate::fault::{Combinations, FaultSet, RevolvingDoor};
 use crate::reconfig::reconfigure;
 use ftdb_graph::Graph;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Outcome of a tolerance verification run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,163 +102,269 @@ impl AdjacencyMatrix {
         AdjacencyMatrix { words, stride }
     }
 
+    // analyzer: alloc-free
     #[inline]
     fn has_edge(&self, u: usize, v: usize) -> bool {
         self.words[u * self.stride + v / 64] >> (v % 64) & 1 == 1
     }
 }
 
-/// Per-worker scratch for the exhaustive sweep: the rank map `φ` and the
-/// sorted fault slice are rebuilt in place for every combination.
-struct VerifyKernel<'a> {
-    target_edges: &'a [(u32, u32)],
+/// What every worker of one verification call shares read-only: the target
+/// edges, each target node's incident edges, and the host adjacency.
+struct Instance<'a> {
     host: &'a Graph,
-    matrix: Option<&'a AdjacencyMatrix>,
-    /// `phi[x]` = host image of target node `x`; reused across checks.
-    phi: Vec<u32>,
+    matrix: Option<AdjacencyMatrix>,
+    /// Target edges `(a, b)`, indexed by edge id.
+    edges: Vec<(u32, u32)>,
+    /// CSR: `incident[offsets[x]..offsets[x + 1]]` holds the ids of the
+    /// target edges at target node `x` (`offsets.len() = N + 1`).
+    offsets: Vec<u32>,
+    incident: Vec<u32>,
 }
 
-impl<'a> VerifyKernel<'a> {
-    fn new(
-        target_nodes: usize,
-        target_edges: &'a [(u32, u32)],
-        host: &'a Graph,
-        matrix: Option<&'a AdjacencyMatrix>,
-    ) -> Self {
-        VerifyKernel {
-            target_edges,
+impl<'a> Instance<'a> {
+    fn new(target: &Graph, host: &'a Graph) -> Self {
+        let nodes = target.node_count();
+        let edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
+        // `Graph::edges` yields `a < b`: every edge sits at two distinct
+        // nodes, so it is listed exactly once under each.
+        let mut offsets = vec![0u32; nodes + 1];
+        for &(a, b) in &edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for x in 0..nodes {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut fill = offsets.clone();
+        let mut incident = vec![0u32; offsets[nodes] as usize];
+        for (e, &(a, b)) in edges.iter().enumerate() {
+            for x in [a, b] {
+                incident[fill[x as usize] as usize] = e as u32;
+                fill[x as usize] += 1;
+            }
+        }
+        Instance {
             host,
-            matrix,
-            phi: vec![0; target_nodes],
+            matrix: (host.node_count() <= ADJACENCY_MATRIX_LIMIT)
+                .then(|| AdjacencyMatrix::build(host)),
+            edges,
+            offsets,
+            incident,
+        }
+    }
+}
+
+/// The incremental displacement kernel (see the module docs): per-worker
+/// state for the fault set it last saw.
+struct DisplacementKernel<'a> {
+    inst: &'a Instance<'a>,
+    /// `false` when the host has fewer than `N + k` nodes, so that no
+    /// `k`-fault set leaves room for the target: every set fails.
+    fits: bool,
+    /// `delta[x] = δ(x)` for every target node.
+    delta: Vec<u32>,
+    /// `g[j] = f_j − j` for the current sorted fault set.
+    g: Vec<usize>,
+    /// Scratch for the next set's offsets; swapped with `g` after a step.
+    g_next: Vec<usize>,
+    /// Target edges whose image the host lacks under the current `δ`.
+    bad: usize,
+}
+
+impl<'a> DisplacementKernel<'a> {
+    fn new(inst: &'a Instance<'a>, k: usize) -> Self {
+        let nodes = inst.offsets.len() - 1;
+        DisplacementKernel {
+            inst,
+            fits: inst.host.node_count() >= nodes + k,
+            delta: vec![0; nodes],
+            g: vec![0; k],
+            g_next: vec![0; k],
+            bad: 0,
         }
     }
 
-    /// Allocation-free equivalent of [`check_fault_set`] for a sorted fault
-    /// slice: recomputes the rank map into the scratch buffer and checks
-    /// every target edge against the host adjacency.
-    fn check(&mut self, faults: &[usize]) -> bool {
-        let n = self.host.node_count();
-        let target_nodes = self.phi.len();
-        if n < target_nodes + faults.len() {
+    /// Checks the sorted `k`-fault set `faults` from scratch, rebuilding
+    /// `δ` and `bad`; later [`DisplacementKernel::step`]s continue from it.
+    // analyzer: alloc-free
+    fn reset(&mut self, faults: &[usize]) -> bool {
+        if !self.fits {
             return false;
         }
-        // φ(x) = the (x+1)-st healthy host node: walk 0..n skipping the
-        // sorted fault positions until the map is full.
-        let mut fi = 0usize;
-        let mut x = 0usize;
-        for v in 0..n {
-            if fi < faults.len() && faults[fi] == v {
-                fi += 1;
-                continue;
-            }
-            self.phi[x] = v as u32;
-            x += 1;
-            if x == target_nodes {
-                break;
-            }
+        for (j, (g, &f)) in self.g.iter_mut().zip(faults).enumerate() {
+            *g = f - j;
         }
-        if x < target_nodes {
+        let mut j = 0;
+        for (x, d) in self.delta.iter_mut().enumerate() {
+            while j < self.g.len() && self.g[j] <= x {
+                j += 1;
+            }
+            *d = j as u32;
+        }
+        self.bad = 0;
+        for e in 0..self.inst.edges.len() {
+            self.bad += usize::from(self.edge_bad(e));
+        }
+        self.bad == 0
+    }
+
+    /// Checks the sorted `k`-fault set `faults` incrementally from the
+    /// previous one: equivalent to [`DisplacementKernel::reset`], but only
+    /// target nodes whose `δ` moved are touched.
+    // analyzer: alloc-free
+    fn step(&mut self, faults: &[usize]) -> bool {
+        if !self.fits {
             return false;
         }
-        match self.matrix {
-            Some(m) => self.target_edges.iter().all(|&(a, b)| {
-                m.has_edge(self.phi[a as usize] as usize, self.phi[b as usize] as usize)
-            }),
-            None => self.target_edges.iter().all(|&(a, b)| {
-                self.host
-                    .has_edge(self.phi[a as usize] as usize, self.phi[b as usize] as usize)
-            }),
+        for (j, (g, &f)) in self.g_next.iter_mut().zip(faults).enumerate() {
+            *g = f - j;
+        }
+        let nodes = self.delta.len();
+        for j in 0..self.g.len() {
+            let (old, new) = (self.g[j], self.g_next[j]);
+            // δ(x) counts the offsets `≤ x`, so moving `g_j` between `old`
+            // and `new` can only change δ on `[min, max)`.
+            for x in old.min(new)..old.max(new).min(nodes) {
+                let d = self.g_next.partition_point(|&g| g <= x) as u32;
+                if d != self.delta[x] {
+                    self.set_delta(x, d);
+                }
+            }
+        }
+        std::mem::swap(&mut self.g, &mut self.g_next);
+        self.bad == 0
+    }
+
+    /// Sets `δ(x) = d`, re-counting the target edges at `x` in `bad`.
+    // analyzer: alloc-free
+    fn set_delta(&mut self, x: usize, d: u32) {
+        let inst = self.inst;
+        let at_x = &inst.incident[inst.offsets[x] as usize..inst.offsets[x + 1] as usize];
+        for &e in at_x {
+            self.bad -= usize::from(self.edge_bad(e as usize));
+        }
+        self.delta[x] = d;
+        for &e in at_x {
+            self.bad += usize::from(self.edge_bad(e as usize));
         }
     }
+
+    /// Whether the host lacks the image `(φ(a), φ(b))` of target edge `e`.
+    // analyzer: alloc-free
+    #[inline]
+    fn edge_bad(&self, e: usize) -> bool {
+        let (a, b) = self.inst.edges[e];
+        let u = a as usize + self.delta[a as usize] as usize;
+        let v = b as usize + self.delta[b as usize] as usize;
+        match &self.inst.matrix {
+            Some(m) => !m.has_edge(u, v),
+            None => !self.inst.host.has_edge(u, v),
+        }
+    }
+}
+
+/// One worker's (or one sampled run's) verdicts before the merge.
+#[derive(Default)]
+struct Tally {
+    checked: u64,
+    failure_count: u64,
+    /// The first [`ToleranceReport::MAX_RECORDED`] failing sets, tagged with
+    /// their global index.
+    failures: Vec<(u64, Vec<usize>)>,
+}
+
+impl Tally {
+    fn record(&mut self, index: u64, faults: &[usize], ok: bool) {
+        self.checked += 1;
+        if !ok {
+            self.failure_count += 1;
+            if self.failures.len() < ToleranceReport::MAX_RECORDED {
+                self.failures.push((index, faults.to_vec()));
+            }
+        }
+    }
+
+    /// Merges tallies into a report that keeps the first
+    /// [`ToleranceReport::MAX_RECORDED`] failures by global index —
+    /// deterministic regardless of how the indices were split — sorted for
+    /// stable presentation.
+    fn into_report(tallies: impl IntoIterator<Item = Tally>) -> ToleranceReport {
+        let mut checked = 0u64;
+        let mut failure_count = 0u64;
+        let mut tagged: Vec<(u64, Vec<usize>)> = Vec::new();
+        for t in tallies {
+            checked += t.checked;
+            failure_count += t.failure_count;
+            tagged.extend(t.failures);
+        }
+        tagged.sort();
+        tagged.truncate(ToleranceReport::MAX_RECORDED);
+        let mut failures: Vec<Vec<usize>> = tagged.into_iter().map(|(_, f)| f).collect();
+        failures.sort();
+        ToleranceReport {
+            checked,
+            failures,
+            failure_count,
+        }
+    }
+}
+
+/// Checks the fault sets at revolving-door indices `range`: unranks the
+/// first, checks it from scratch, then steps the kernel through the rest.
+fn check_range(inst: &Instance<'_>, k: usize, range: Range<u64>) -> Tally {
+    let mut kernel = DisplacementKernel::new(inst, k);
+    let mut door = RevolvingDoor::from_rank(inst.host.node_count(), k, u128::from(range.start));
+    let mut tally = Tally::default();
+    let first = range.start;
+    for index in range {
+        let Some(faults) = door.next_set() else {
+            break;
+        };
+        let ok = if index == first {
+            kernel.reset(faults)
+        } else {
+            kernel.step(faults)
+        };
+        tally.record(index, faults, ok);
+    }
+    tally
 }
 
 /// Exhaustively verifies that `host` is `(k, target)`-tolerant *under the
 /// rank-based reconfiguration*, checking all `C(|host|, k)` fault sets.
 ///
-/// `threads` controls the parallel fan-out (use 1 for deterministic
-/// single-thread runs; the recorded failures are identical either way — the
-/// first [`ToleranceReport::MAX_RECORDED`] failing sets in enumeration
-/// order, sorted).
+/// `threads` controls the parallel fan-out: worker `w` of `t` checks the
+/// contiguous index range `[w·C/t, (w+1)·C/t)` of the revolving-door order.
+/// The report is identical for any thread count — the recorded failures are
+/// the first [`ToleranceReport::MAX_RECORDED`] failing sets in enumeration
+/// order, sorted.
 pub fn verify_exhaustive(
     target: &Graph,
     host: &Graph,
     k: usize,
     threads: usize,
 ) -> ToleranceReport {
-    let n = host.node_count();
-    let threads = threads.max(1);
-    let target_edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-    let matrix = (n <= ADJACENCY_MATRIX_LIMIT).then(|| AdjacencyMatrix::build(host));
-    let matrix = matrix.as_ref();
-
-    // Each worker advances its own in-place enumerator over the full stream
-    // (advancing is O(1) amortised and allocation-free) and checks its
-    // round-robin share. Failures are collected locally, tagged with the
-    // global enumeration index, and merged after the join — the hot loop
-    // takes no lock. Known scaling bound: the enumeration itself is
-    // replicated per worker (threads · C(n,k) advance steps), which caps
-    // parallel speedup once the per-set check is this cheap; contiguous
-    // ranges via combination unranking would remove that if wider machines
-    // demand it.
-    type WorkerResult = (u64, u64, Vec<(u64, Vec<usize>)>);
-    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(threads);
+    let inst = Instance::new(target, host);
+    let total = u64::try_from(Combinations::total(host.node_count(), k)).unwrap_or(u64::MAX);
+    let workers = (threads.max(1) as u64).min(total.max(1));
+    let bound = |w: u64| (u128::from(total) * u128::from(w) / u128::from(workers)) as u64;
+    let mut tallies: Vec<Tally> = Vec::new();
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let target_edges = &target_edges;
-                scope.spawn(move |_| {
-                    let mut kernel =
-                        VerifyKernel::new(target.node_count(), target_edges, host, matrix);
-                    let mut enumerator = RevolvingDoor::new(n, k);
-                    let mut checked = 0u64;
-                    let mut failure_count = 0u64;
-                    let mut failures: Vec<(u64, Vec<usize>)> = Vec::new();
-                    let mut index = 0u64;
-                    while let Some(combo) = enumerator.next_set() {
-                        let mine = index % threads as u64 == worker as u64;
-                        index += 1;
-                        if !mine {
-                            continue;
-                        }
-                        checked += 1;
-                        if !kernel.check(combo) {
-                            failure_count += 1;
-                            if failures.len() < ToleranceReport::MAX_RECORDED {
-                                failures.push((index - 1, combo.to_vec()));
-                            }
-                        }
-                    }
-                    (checked, failure_count, failures)
-                })
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let inst = &inst;
+                let range = bound(w)..bound(w + 1);
+                scope.spawn(move |_| check_range(inst, k, range))
             })
             .collect();
         for handle in handles {
             // analyzer: allow(expect) -- a worker panic must propagate, not yield a truncated tolerance report
-            worker_results.push(handle.join().expect("verification worker panicked"));
+            tallies.push(handle.join().expect("verification worker panicked"));
         }
     })
     .expect("verification scope panicked"); // analyzer: allow(expect) -- crossbeam scope errors only reflect a worker panic that is already propagating
-
-    let mut checked = 0u64;
-    let mut failure_count = 0u64;
-    let mut tagged: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (c, f, fails) in worker_results {
-        checked += c;
-        failure_count += f;
-        tagged.extend(fails);
-    }
-    // Keep the first MAX_RECORDED failures in global enumeration order —
-    // deterministic regardless of the thread count — then sort them for
-    // stable presentation.
-    tagged.sort();
-    tagged.truncate(ToleranceReport::MAX_RECORDED);
-    let mut failures: Vec<Vec<usize>> = tagged.into_iter().map(|(_, f)| f).collect();
-    failures.sort();
-    ToleranceReport {
-        checked,
-        failures,
-        failure_count,
-    }
+    Tally::into_report(tallies)
 }
 
 /// Verifies tolerance on `samples` random fault sets of size `k` drawn with
@@ -260,19 +380,13 @@ pub fn verify_sampled(
     let n = host.node_count();
     if k > n {
         // No fault set of size k exists; report an empty (vacuous) pass.
-        return ToleranceReport {
-            checked: 0,
-            failures: Vec::new(),
-            failure_count: 0,
-        };
+        return Tally::into_report([]);
     }
-    let target_edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-    let matrix = (n <= ADJACENCY_MATRIX_LIMIT).then(|| AdjacencyMatrix::build(host));
-    let mut kernel = VerifyKernel::new(target.node_count(), &target_edges, host, matrix.as_ref());
+    let inst = Instance::new(target, host);
+    let mut kernel = DisplacementKernel::new(&inst, k);
     let mut combo: Vec<usize> = Vec::with_capacity(k);
-    let mut failures = Vec::new();
-    let mut failure_count = 0;
-    for _ in 0..samples {
+    let mut tally = Tally::default();
+    for index in 0..samples {
         // `k <= n` was checked above, so the draw cannot fail; skip
         // defensively rather than panic to keep this path panic-free.
         let Ok(faults) = FaultSet::random(n, k, &mut rng) else {
@@ -280,19 +394,10 @@ pub fn verify_sampled(
         };
         combo.clear();
         combo.extend(faults.iter());
-        if !kernel.check(&combo) {
-            failure_count += 1;
-            if failures.len() < ToleranceReport::MAX_RECORDED {
-                failures.push(combo.clone());
-            }
-        }
+        let ok = kernel.reset(&combo);
+        tally.record(index, &combo, ok);
     }
-    failures.sort();
-    ToleranceReport {
-        checked: samples,
-        failures,
-        failure_count,
-    }
+    Tally::into_report([tally])
 }
 
 /// Exhaustively verifies tolerance for *all* fault-set sizes `0..=k`
@@ -315,6 +420,7 @@ mod tests {
     use super::*;
     use crate::ft_debruijn::FtDeBruijn2;
     use crate::ft_debruijn_m::FtDeBruijnM;
+    use crate::ft_shuffle::{FtShuffleExchange, NaturalFtShuffleExchange};
     use ftdb_topology::{DeBruijn2, DeBruijnM};
 
     #[test]
@@ -356,31 +462,211 @@ mod tests {
         assert!(!report.failures.is_empty());
     }
 
+    /// `graph` with `extra` isolated nodes appended.
+    fn padded(graph: &Graph, extra: usize) -> Graph {
+        let mut b = ftdb_graph::GraphBuilder::new(graph.node_count() + extra);
+        b.add_edges(graph.edges());
+        b.build()
+    }
+
+    /// `(target, host, k)` cases covering tolerant and non-tolerant hosts,
+    /// a host with isolated extra nodes (`n > N + k`) and hosts too small
+    /// for the target (`n < N + k`).
+    fn differential_cases() -> Vec<(String, Graph, Graph, usize)> {
+        let mut cases = Vec::new();
+        for (h, k) in [(3, 1), (3, 2), (4, 3), (5, 2)] {
+            let ft = FtDeBruijn2::new(h, k);
+            cases.push((
+                format!("B^{k}(2,{h})"),
+                ft.target().graph().clone(),
+                ft.graph().clone(),
+                k,
+            ));
+        }
+        for (m, h, k) in [(3, 2, 2), (2, 4, 2), (3, 3, 1)] {
+            let ft = FtDeBruijnM::new(m, h, k);
+            cases.push((
+                format!("B^{k}({m},{h})"),
+                ft.target().graph().clone(),
+                ft.graph().clone(),
+                k,
+            ));
+        }
+        // The containment route: SE_4 relabelled into B(2,4) on B^2(2,4),
+        // plus the raw SE_4 labelling on the same host (not tolerant).
+        let se = FtShuffleExchange::new(4, 2).expect("SE_4 embeds in B(2,4)");
+        let emb = se.se_to_debruijn().as_slice();
+        let mut relabelled = ftdb_graph::GraphBuilder::new(se.target().node_count());
+        relabelled.add_edges(se.target().graph().edges().map(|(a, b)| (emb[a], emb[b])));
+        cases.push((
+            "SE_4 via B^2(2,4)".into(),
+            relabelled.build(),
+            se.graph().clone(),
+            2,
+        ));
+        cases.push((
+            "raw SE_4 on B^2(2,4)".into(),
+            se.target().graph().clone(),
+            se.graph().clone(),
+            2,
+        ));
+        let natural = NaturalFtShuffleExchange::new(4, 2);
+        cases.push((
+            "natural SE^2(4)".into(),
+            natural.target().graph().clone(),
+            natural.graph().clone(),
+            2,
+        ));
+        for (h, k) in [(3, 1), (4, 2), (4, 3)] {
+            let db = DeBruijn2::new(h);
+            cases.push((
+                format!("B(2,{h}) + {k} bare spares"),
+                db.graph().clone(),
+                padded(db.graph(), k),
+                k,
+            ));
+        }
+        let ft = FtDeBruijn2::new(3, 2);
+        cases.push((
+            "B^2(2,3) + 3 isolated nodes".into(),
+            ft.target().graph().clone(),
+            padded(ft.graph(), 3),
+            2,
+        ));
+        cases.push((
+            "B^2(2,3) with k = 3 (too small)".into(),
+            ft.target().graph().clone(),
+            ft.graph().clone(),
+            3,
+        ));
+        cases.push((
+            "B(2,3) hosting B(2,3) with k = 1 (too small)".into(),
+            DeBruijn2::new(3).graph().clone(),
+            DeBruijn2::new(3).graph().clone(),
+            1,
+        ));
+        cases
+    }
+
     #[test]
     fn kernel_agrees_with_check_fault_set() {
-        // The fast kernel and the reference path must classify every fault
-        // set identically, on a tolerant and on a non-tolerant host.
-        let ft = FtDeBruijn2::new(3, 2);
-        let target = ft.target().graph();
-        for host in [ft.graph().clone(), {
-            let mut b = ftdb_graph::GraphBuilder::new(10);
-            b.add_edges(target.edges());
-            b.build()
-        }] {
-            let target_edges: Vec<(u32, u32)> =
-                target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-            let matrix = AdjacencyMatrix::build(&host);
-            let mut kernel =
-                VerifyKernel::new(target.node_count(), &target_edges, &host, Some(&matrix));
-            let mut rd = RevolvingDoor::new(host.node_count(), 2);
+        // Stepping the incremental kernel along the whole revolving-door
+        // stream, and checking each set from scratch, must both classify
+        // every fault set exactly as the reference path does.
+        let (mut passing, mut failing) = (0u64, 0u64);
+        for (name, target, host, k) in differential_cases() {
+            let inst = Instance::new(&target, &host);
+            let mut stepped = DisplacementKernel::new(&inst, k);
+            let mut scratch = DisplacementKernel::new(&inst, k);
+            let mut rd = RevolvingDoor::new(host.node_count(), k);
+            let mut first = true;
             while let Some(combo) = rd.next_set() {
                 let faults = FaultSet::from_nodes(host.node_count(), combo.iter().copied());
+                let reference = check_fault_set(&target, &host, &faults);
+                let incremental = if first {
+                    stepped.reset(combo)
+                } else {
+                    stepped.step(combo)
+                };
+                first = false;
                 assert_eq!(
-                    kernel.check(combo),
-                    check_fault_set(target, &host, &faults),
-                    "kernel disagrees on {combo:?} for {host:?}"
+                    incremental, reference,
+                    "{name}: step disagrees on {combo:?}"
+                );
+                assert_eq!(
+                    scratch.reset(combo),
+                    reference,
+                    "{name}: reset disagrees on {combo:?}"
+                );
+                if reference {
+                    passing += 1;
+                } else {
+                    failing += 1;
+                }
+            }
+            assert!(!first, "{name}: empty enumeration");
+        }
+        assert!(
+            passing > 0 && failing > 0,
+            "{passing} passing, {failing} failing"
+        );
+    }
+
+    /// The report `verify_exhaustive` must produce, built serially from the
+    /// reference check.
+    fn reference_report(target: &Graph, host: &Graph, k: usize) -> ToleranceReport {
+        let mut rd = RevolvingDoor::new(host.node_count(), k);
+        let mut tally = Tally::default();
+        let mut index = 0;
+        while let Some(combo) = rd.next_set() {
+            let faults = FaultSet::from_nodes(host.node_count(), combo.iter().copied());
+            tally.record(index, combo, check_fault_set(target, host, &faults));
+            index += 1;
+        }
+        Tally::into_report([tally])
+    }
+
+    #[test]
+    fn exhaustive_reports_are_thread_count_independent() {
+        // Range boundaries, single-set ranges and more threads than fault
+        // sets must all merge to the serial reference report.
+        for (name, target, host, k) in differential_cases() {
+            let expected = reference_report(&target, &host, k);
+            let more_than_sets = expected.checked as usize + 3;
+            for threads in [1, 2, 3, 7, more_than_sets] {
+                assert_eq!(
+                    verify_exhaustive(&target, &host, k, threads),
+                    expected,
+                    "{name}: threads={threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn no_fault_set_of_size_k_checks_nothing() {
+        let ft = FtDeBruijn2::new(3, 1);
+        let n = ft.node_count();
+        for threads in [1, 4] {
+            let report = verify_exhaustive(ft.target().graph(), ft.graph(), n + 1, threads);
+            assert_eq!(report.checked, 0);
+            assert!(report.is_tolerant());
+        }
+    }
+
+    #[test]
+    fn bare_spare_failures_are_pinned() {
+        // B(2,4) + 2 bare spares: 152 of the 153 two-fault sets fail. The
+        // recorded sets are the first 16 failures in revolving-door order,
+        // sorted; this list was captured from the from-scratch kernel.
+        let target = DeBruijn2::new(4);
+        let host = padded(target.graph(), 2);
+        let golden: Vec<Vec<usize>> = [
+            [0, 1],
+            [0, 2],
+            [0, 3],
+            [0, 4],
+            [0, 5],
+            [1, 2],
+            [1, 3],
+            [1, 4],
+            [1, 5],
+            [2, 3],
+            [2, 4],
+            [2, 5],
+            [3, 4],
+            [3, 5],
+            [4, 5],
+            [5, 6],
+        ]
+        .iter()
+        .map(|f| f.to_vec())
+        .collect();
+        for threads in [1, 2, 5] {
+            let report = verify_exhaustive(target.graph(), &host, 2, threads);
+            assert_eq!(report.checked, 153);
+            assert_eq!(report.failure_count, 152);
+            assert_eq!(report.failures, golden, "threads={threads}");
         }
     }
 
